@@ -115,10 +115,12 @@ pub struct BeamConfig {
     pub serve: Option<String>,
     /// Stop the session early once the session-wide adjusted error margin
     /// (99% confidence over the effect-class proportions) falls to or
-    /// below this value (`None` = sample every planned strike). An
-    /// early-stopped strike log is a byte-prefix of the full session's,
-    /// and the represented fluence is scaled to the strikes actually
-    /// sampled so FIT rates stay unbiased.
+    /// below this value (`None` = sample every planned strike). Such a
+    /// session runs its strikes in index order, not cycle order, so an
+    /// early-stopped strike log is a byte-prefix of the log the session
+    /// writes when the margin is never reached, and the represented
+    /// fluence is scaled to the strikes actually sampled so FIT rates
+    /// stay unbiased.
     pub stop_at_margin: Option<f64>,
 }
 

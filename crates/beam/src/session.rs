@@ -148,12 +148,17 @@ impl std::error::Error for BeamError {}
 /// Measures the kernel-resident fraction of cache SRAM after a fault-free
 /// run: the share of valid lines (weighted by size) whose physical address
 /// is below the user page pool — i.e. kernel text/data/stack/page tables.
+///
+/// The run always takes the execution fast path: it is bit-transparent,
+/// so the cache contents (and the fraction) are those of the reference
+/// path.
 pub fn measure_kernel_residency(
     workload: &BuiltWorkload,
     cfg: &BeamConfig,
 ) -> Result<f64, BeamError> {
     let (mut sys, _) = boot(cfg.machine, &workload.image, &cfg.kernel)
         .map_err(|e| BeamError::Golden(sea_platform::GoldenError::Install(e)))?;
+    sys.fastpath_enable(sea_microarch::FastPathConfig::default());
     let limits = RunLimits {
         max_cycles: cfg.golden_budget_cycles,
         tick_window: u64::MAX,
@@ -327,6 +332,20 @@ fn beam_prom_snapshot(
 /// # }
 /// ```
 ///
+/// Strikes are sampled in index order but executed (and logged) in
+/// strike-cycle order, analytic strikes first, so the warp cursor only
+/// moves forward. Results do not depend on the order, and a resumed log
+/// is decoded by strike index. Two consequences:
+///
+/// - With [`BeamConfig::stop_at_margin`] set, strikes run in index order
+///   instead: a margin stop makes the executed prefix the sample, and a
+///   cycle-ordered prefix would over-sample early-execution strikes and
+///   bias the FIT rates.
+/// - A session interrupted by a stop request (SIGTERM/SIGINT) or a
+///   poisoned log returns a partial result whose strikes are the earliest
+///   in execution time — cycle-biased until the session is resumed to
+///   completion.
+///
 /// # Errors
 ///
 /// Fails if the fault-free run does not complete cleanly, or if a resumed
@@ -492,9 +511,18 @@ pub fn run_session(
         }
         None => None,
     };
-    let pending: Vec<u64> = (0..plans.len() as u64)
+    let mut pending: Vec<u64> = (0..plans.len() as u64)
         .filter(|&i| !done[i as usize])
         .collect();
+    // Run strikes in cycle order (analytic ones first, in index order) so
+    // each worker's warp cursor only moves forward. A margin stop keeps
+    // index order: there the execution order is the sample.
+    if cfg.stop_at_margin.is_none() {
+        pending.sort_by_key(|&i| match plans[i as usize] {
+            Plan::Simulate(spec) => spec.cycle,
+            Plan::Analytic(..) => 0,
+        });
+    }
 
     let quarantine = match &cfg.supervisor.quarantine {
         Some(path) => {

@@ -2,7 +2,7 @@
 //! and the FIT_raw measurement loop.
 
 use sea_beam::{measure_fit_raw, measure_kernel_residency, run_session, BeamConfig};
-use sea_platform::FaultClass;
+use sea_platform::{boot, run, FaultClass, RunLimits};
 use sea_workloads::{Scale, Workload};
 
 #[test]
@@ -37,6 +37,36 @@ fn small_footprint_workload_leaves_more_kernel_in_cache() {
         fs > fl,
         "small workload should leave more kernel lines resident ({fs:.3} vs {fl:.3})"
     );
+}
+
+#[test]
+fn kernel_residency_on_the_fast_path_equals_the_reference_path() {
+    let cfg = BeamConfig::default();
+    for w in [Workload::Qsort, Workload::Crc32] {
+        let built = w.build(Scale::Tiny);
+        let measured = measure_kernel_residency(&built, &cfg).unwrap();
+
+        // The same measurement stepped on the reference path.
+        let (mut sys, _) = boot(cfg.machine, &built.image, &cfg.kernel).unwrap();
+        assert!(!sys.fastpath_enabled());
+        let limits = RunLimits {
+            max_cycles: cfg.golden_budget_cycles,
+            tick_window: u64::MAX,
+            wall_ms: 0,
+        };
+        let _ = run(&mut sys, limits);
+        let (mut kernel_bits, mut total_bits) = (0f64, 0f64);
+        for cache in [&sys.mem.l1i, &sys.mem.l1d, &sys.mem.l2] {
+            let per_line = cache.total_bits() as f64 / cache.lines() as f64;
+            total_bits += cache.total_bits() as f64;
+            kernel_bits += cache
+                .valid_line_addrs()
+                .filter(|&a| a < sea_kernel::USER_POOL_BASE)
+                .count() as f64
+                * per_line;
+        }
+        assert_eq!(measured, kernel_bits / total_bits, "{w:?}");
+    }
 }
 
 #[test]

@@ -9,18 +9,22 @@
 //!
 //! The cursor closes the gap with the determinism contract instead: each
 //! worker thread keeps one long-lived fault-free machine — the **cursor**
-//! — pinned to the golden path. Specs are cycle-sorted and workers claim
-//! contiguous ascending index blocks, so across a block the cursor only
-//! ever moves *forward*; reaching the next strike cycle costs the delta
-//! from the previous one, not the whole prefix. The run's machine is then
-//! a clone of the cursor at the strike cycle (the "handoff"): by the
-//! restore/reset bit-equivalence contract (PR 3, `checkpoint_equivalence`)
-//! that clone is indistinguishable from a machine stepped from reset, so
-//! verdicts — and journal bytes — are identical with the cursor on or off
-//! (held by the `warp_equivalence` tests and the CI `warp-equivalence`
-//! job). The cursor always runs with the execution fast path armed; the
-//! fast path is itself bit-transparent, and the clone drops it when the
-//! campaign did not ask for it.
+//! — pinned to the golden path. Injection specs and beam strikes run in
+//! strike-cycle order and workers claim contiguous ascending blocks of
+//! that order, so the cursor only ever moves *forward*; reaching the next
+//! strike cycle costs the delta from the previous one, not the whole
+//! prefix. A target inside the cursor's last step (a multi-cycle step
+//! such as a cache miss straddling it) is served where the cursor stands,
+//! since a fresh machine stops at that same step boundary. The run's
+//! machine is then a clone of the cursor at the strike cycle (the
+//! "handoff"): by the restore/reset bit-equivalence contract (held by the
+//! `checkpoint_equivalence` tests) that clone is indistinguishable from a
+//! machine stepped from reset, so verdicts — and journal bytes — are
+//! identical with the cursor on or off (held by the `warp_equivalence`
+//! tests and the CI `warp-equivalence` job). The cursor always runs with
+//! the execution fast path armed; the fast path is itself
+//! bit-transparent, and the clone drops it when the campaign did not ask
+//! for it.
 //!
 //! Checkpoints compose rather than compete: when an epoch lies *ahead* of
 //! the cursor (first run of a block, or a cross-epoch jump), the cursor
@@ -96,6 +100,12 @@ impl Default for WarpPolicy {
 struct Cursor {
     key: (u64, u64),
     sys: System<Board>,
+    /// Cycle count before the cursor's last step (equal to
+    /// `sys.cycles()` until it first steps). A step can span hundreds of
+    /// cycles (a cache miss); a fresh machine stepped `while cycles() <
+    /// target` from reset or from any checkpoint stops at this same
+    /// boundary for every target in `prev+1..=sys.cycles()`.
+    prev: u64,
 }
 
 thread_local! {
@@ -137,10 +147,12 @@ pub(crate) fn cursor_machine_toward(
     CURSOR.with(|slot| {
         let mut slot = slot.borrow_mut();
         // A cursor is reusable when it belongs to this campaign, has not
-        // passed the target, and no checkpoint lies strictly ahead of it
+        // passed the target (or its last step straddles it, see
+        // `Cursor::prev`), and no checkpoint lies strictly ahead of it
         // (restoring would be cheaper than whatever stepping remains).
         let reusable = matches!(&*slot, Some(c)
-            if c.key == key && c.sys.cycles() <= cycle && c.sys.cycles() >= base);
+            if c.key == key && c.sys.cycles() >= base
+                && (c.sys.cycles() <= cycle || c.prev < cycle));
         if !reusable {
             if slot.take().is_some() {
                 WARP_CURSOR_RESETS.inc();
@@ -159,16 +171,18 @@ pub(crate) fn cursor_machine_toward(
             // Always armed on the cursor: the fast path is bit-transparent
             // and the cursor exists purely to go fast.
             sys.fastpath_enable(sea_microarch::FastPathConfig::default());
-            *slot = Some(Cursor { key, sys });
+            let prev = sys.cycles();
+            *slot = Some(Cursor { key, sys, prev });
         }
         let cursor = slot.as_mut().expect("cursor seeded above");
         let start = cursor.sys.cycles();
-        if cycle - start > policy.max_advance {
+        if cycle.saturating_sub(start) > policy.max_advance {
             return None;
         }
         // Advance the cursor itself to the strike cycle — this is the work
         // every subsequent run of this worker's block gets for free.
         while cursor.sys.cycles() < cycle {
+            cursor.prev = cursor.sys.cycles();
             cursor.sys.step();
         }
         WARP_ADVANCE_CYCLES.add(cursor.sys.cycles() - start);
@@ -197,5 +211,39 @@ mod tests {
     #[test]
     fn baseline_picks_nearest_epoch_at_or_before() {
         assert_eq!(baseline(None, 1234), 0);
+    }
+
+    #[test]
+    fn handoffs_around_a_multi_cycle_step_match_a_fresh_boot() {
+        let w = sea_workloads::Workload::Crc32.build(sea_workloads::Scale::Tiny);
+        let cfg = CampaignConfig::default();
+        let fresh = || boot(cfg.machine, &w.image, &cfg.kernel).unwrap().0;
+        // Around each multi-cycle step `before -> after`: advance into it,
+        // two targets it straddles, then one behind the cursor's last step
+        // (which must not be served from the cursor).
+        let mut probe = fresh();
+        let mut targets = Vec::new();
+        while targets.len() < 64 {
+            let before = probe.cycles();
+            probe.step();
+            let after = probe.cycles();
+            if after - before > 1 {
+                targets.extend([before + 1, after - 1, after, before]);
+            }
+        }
+        reset_cursor();
+        for t in targets {
+            let handed = cursor_machine_toward(&w, &cfg, None, t, &WarpPolicy::default()).unwrap();
+            let mut reference = fresh();
+            while reference.cycles() < t {
+                reference.step();
+            }
+            assert_eq!(handed.cycles(), reference.cycles(), "target {t}");
+            assert_eq!(
+                handed.state_fingerprint_deep(),
+                reference.state_fingerprint_deep(),
+                "target {t}"
+            );
+        }
     }
 }

@@ -44,6 +44,16 @@ fn warp_cfg() -> CampaignConfig {
     }
 }
 
+/// Every component at 200 samples: strikes dense enough that a
+/// multi-cycle step of the cursor often straddles the next target.
+fn dense_cfg() -> CampaignConfig {
+    CampaignConfig {
+        samples_per_component: 200,
+        threads: 1,
+        ..CampaignConfig::default()
+    }
+}
+
 /// Shared golden run for the property tests (booting per-case would
 /// dominate the suite's runtime).
 fn fixture() -> &'static (BuiltWorkload, GoldenRun) {
@@ -128,34 +138,37 @@ proptest! {
 #[test]
 fn warp_campaign_journal_is_byte_identical_to_detailed_campaign() {
     let w = Workload::Crc32.build(Scale::Tiny);
-    let detailed_dir = scratch("detailed");
-    let warp_dir = scratch("warp");
+    for (name, base) in [("sparse", tiny_cfg()), ("dense", dense_cfg())] {
+        let detailed_dir = scratch(&format!("detailed_{name}"));
+        let warp_dir = scratch(&format!("warp_{name}"));
 
-    let mut detailed = tiny_cfg();
-    detailed.journal = Some(JournalSpec::new(detailed_dir.clone()));
-    let a = run_campaign("CRC32", &w, &detailed).unwrap();
+        let mut detailed = base.clone();
+        detailed.journal = Some(JournalSpec::new(detailed_dir.clone()));
+        let a = run_campaign("CRC32", &w, &detailed).unwrap();
 
-    let handoffs_before = sea_injection::warp::WARP_HANDOFFS.get();
-    let mut warp = warp_cfg();
-    warp.journal = Some(JournalSpec::new(warp_dir.clone()));
-    let b = run_campaign("CRC32", &w, &warp).unwrap();
-    assert!(
-        sea_injection::warp::WARP_HANDOFFS.get() > handoffs_before,
-        "warp cursor never served a machine"
-    );
+        let handoffs_before = sea_injection::warp::WARP_HANDOFFS.get();
+        let mut warp = base;
+        warp.warp = Some(WarpPolicy::default());
+        warp.journal = Some(JournalSpec::new(warp_dir.clone()));
+        let b = run_campaign("CRC32", &w, &warp).unwrap();
+        assert!(
+            sea_injection::warp::WARP_HANDOFFS.get() > handoffs_before,
+            "{name}: warp cursor never served a machine"
+        );
 
-    // Identical classifications and tallies…
-    assert_eq!(a.per_component, b.per_component);
-    assert_eq!(a.golden_cycles, b.golden_cycles);
-    // …and byte-identical journals (same config hash: `warp` is a
-    // runtime-only knob, like `fast_path`, `threads` and `checkpoints`).
-    let ja = fs::read(detailed_dir.join("crc32.inject.seaj")).unwrap();
-    let jb = fs::read(warp_dir.join("crc32.inject.seaj")).unwrap();
-    assert!(!ja.is_empty());
-    assert_eq!(ja, jb, "warp journal differs from detailed journal");
+        // Identical classifications and tallies…
+        assert_eq!(a.per_component, b.per_component, "{name}");
+        assert_eq!(a.golden_cycles, b.golden_cycles, "{name}");
+        // …and byte-identical journals (same config hash: `warp` is a
+        // runtime-only knob, like `fast_path`, `threads` and `checkpoints`).
+        let ja = fs::read(detailed_dir.join("crc32.inject.seaj")).unwrap();
+        let jb = fs::read(warp_dir.join("crc32.inject.seaj")).unwrap();
+        assert!(!ja.is_empty());
+        assert_eq!(ja, jb, "{name}: warp journal differs from detailed journal");
 
-    let _ = fs::remove_dir_all(&detailed_dir);
-    let _ = fs::remove_dir_all(&warp_dir);
+        let _ = fs::remove_dir_all(&detailed_dir);
+        let _ = fs::remove_dir_all(&warp_dir);
+    }
 }
 
 #[test]

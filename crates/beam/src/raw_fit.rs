@@ -79,9 +79,9 @@ pub fn measure_fit_raw(cfg: &BeamConfig, strikes: u32) -> RawFitResult {
     } else {
         cfg.threads
     };
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(specs.len().max(1)) {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= specs.len() {
                     break;
@@ -106,8 +106,7 @@ pub fn measure_fit_raw(cfg: &BeamConfig, strikes: u32) -> RawFitResult {
                 }
             });
         }
-    })
-    .expect("raw-fit worker panicked");
+    });
     let detected = detected_total.into_inner();
     let crashed = crashed_total.into_inner();
 

@@ -1,31 +1,17 @@
-//! `bench_warp` — measures the two-tier execution engine and records it
-//! as `BENCH_warp.json`.
+//! `bench_warp` — measures the warp cursor end to end and records it as
+//! `BENCH_warp.json`.
 //!
-//! Two measurements:
+//! One measurement (`campaign_speedup`): a small checkpoint-sparse
+//! injection campaign with the warp cursor off and on. The cursor
+//! amortizes detailed prefix execution across each worker's cycle-sorted
+//! run block, so the campaign spends its time on post-injection suffixes
+//! instead of re-simulating prefixes. Both arms must produce identical
+//! per-component tallies — the bit-exact contract — which this binary
+//! asserts.
 //!
-//! 1. **Prefix tier** (the headline `prefix_speedup`, what `--require`
-//!    gates on): steps/sec of the functional warp tier (fused basic-block
-//!    traces, atomic memory) against detailed stepping over the same
-//!    fault-free prefix of the same booted machine. This is the raw cost
-//!    ratio between the two tiers.
-//! 2. **End-to-end campaign** (`campaign_speedup`): a small
-//!    checkpoint-sparse injection campaign with the warp cursor off and
-//!    on. The cursor amortizes detailed prefix execution across each
-//!    worker's cycle-sorted run block, so the campaign spends its time on
-//!    post-injection suffixes instead of re-simulating prefixes. Both
-//!    arms must produce identical per-component tallies — the bit-exact
-//!    contract — which this binary asserts.
-//!
-//! Usage: `bench_warp [--reps N] [--tiny] [--samples N] [--out FILE]
-//! [--require X]`
-//!
-//! `--require X` exits nonzero unless `prefix_speedup` ≥ X (CI smokes
-//! `--require 5.0`, non-blocking).
+//! Usage: `bench_warp [--reps N] [--tiny] [--samples N] [--out FILE]`
 
 use sea_core::injection::{run_campaign, CampaignConfig, WarpPolicy};
-use sea_core::kernel::KernelConfig;
-use sea_core::microarch::{StepOutcome, WarpConfig};
-use sea_core::platform::{boot, run, RunLimits, RunOutcome};
 use sea_core::trace::json::ObjWriter;
 use sea_core::{MachineConfig, Scale, Workload};
 use std::time::Instant;
@@ -35,7 +21,6 @@ struct Args {
     scale: Scale,
     samples: u32,
     out: std::path::PathBuf,
-    require: f64,
 }
 
 fn parse_args() -> Args {
@@ -45,7 +30,6 @@ fn parse_args() -> Args {
         scale: Scale::Default,
         samples: 8,
         out: std::path::PathBuf::from("BENCH_warp.json"),
-        require: 0.0,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -68,92 +52,23 @@ fn parse_args() -> Args {
                 a.out = need(i).into();
                 i += 2;
             }
-            "--require" => {
-                a.require = need(i).parse().expect("--require X");
-                i += 2;
-            }
             "--tiny" => {
                 a.scale = Scale::Tiny;
                 i += 1;
             }
             other => panic!(
                 "unknown flag `{other}` (usage: bench_warp [--reps N] [--tiny] \
-                 [--samples N] [--out FILE] [--require X])"
+                 [--samples N] [--out FILE])"
             ),
         }
     }
     a
 }
 
-/// Prefix-tier measurement: detailed `step()` vs `run_warp` over the same
-/// step budget from the same boot, interleaved reps, min wall per arm.
-fn bench_prefix(workload: Workload, args: &Args, w: &mut ObjWriter) -> f64 {
-    let machine = MachineConfig::cortex_a9_scaled();
-    let kernel = KernelConfig::default();
-    let built = workload.build(args.scale);
-
-    // Sighting run: how many instructions the whole workload retires.
-    let (mut probe, _) = boot(machine, &built.image, &kernel).expect("boot");
-    let out = run(
-        &mut probe,
-        RunLimits::from_golden(500_000_000, kernel.tick_period),
-    );
-    assert!(
-        matches!(out, RunOutcome::Exited { code: 0, .. }),
-        "sighting run did not exit cleanly: {out:?}"
-    );
-    // Time half the run's steps: safely inside the fault-free prefix on
-    // both tiers even though their cycle clocks drift apart.
-    let budget = probe.cpu.counters.instructions / 2;
-
-    eprintln!(
-        "bench_warp: prefix ({workload}), {} interleaved rep pairs…",
-        args.reps
-    );
-    let mut detailed_wall = f64::INFINITY;
-    let mut warp_wall = f64::INFINITY;
-    let mut warp_stats = None;
-    for _ in 0..args.reps.max(1) {
-        let (mut sys, _) = boot(machine, &built.image, &kernel).expect("boot");
-        let t = Instant::now();
-        for _ in 0..budget {
-            sys.step();
-        }
-        detailed_wall = detailed_wall.min(t.elapsed().as_secs_f64());
-
-        let (mut sys, _) = boot(machine, &built.image, &kernel).expect("boot");
-        sys.warp_enable(WarpConfig::default());
-        let t = Instant::now();
-        assert_eq!(sys.run_warp(budget), StepOutcome::Executed);
-        warp_wall = warp_wall.min(t.elapsed().as_secs_f64());
-        warp_stats = sys.warp_stats();
-    }
-    let stats = warp_stats.expect("warp armed");
-    let detailed_rate = budget as f64 / detailed_wall.max(1e-9);
-    let warp_rate = budget as f64 / warp_wall.max(1e-9);
-    let speedup = warp_rate / detailed_rate.max(1e-9);
-    let lookups = stats.block_hits + stats.block_misses;
-    let hit_rate = stats.block_hits as f64 / lookups.max(1) as f64;
-    w.u64_field("prefix_steps", budget)
-        .f64_field("prefix_detailed_steps_per_s", detailed_rate)
-        .f64_field("prefix_warp_steps_per_s", warp_rate)
-        .f64_field("prefix_speedup", speedup)
-        .f64_field("prefix_block_hit_rate", hit_rate)
-        .u64_field("prefix_trace_flushes", stats.flushes);
-    println!(
-        "prefix ({}): {:.0} → {:.0} steps/s  ({speedup:.2}x, block hit rate {:.1}%)",
-        workload.name(),
-        detailed_rate,
-        warp_rate,
-        100.0 * hit_rate,
-    );
-    speedup
-}
-
 /// End-to-end measurement: a checkpoint-sparse campaign, cursor off vs
-/// on. Asserts identical tallies (the bit-exact contract) and returns the
-/// wall-clock speedup.
-fn bench_campaign(workload: Workload, args: &Args, w: &mut ObjWriter) -> f64 {
+/// on, interleaved reps, min wall per arm. Asserts identical tallies (the
+/// bit-exact contract).
+fn bench_campaign(workload: Workload, args: &Args, w: &mut ObjWriter) {
     let built = workload.build(args.scale);
     let cfg = |warp: bool| CampaignConfig {
         machine: MachineConfig::cortex_a9_scaled(),
@@ -195,7 +110,6 @@ fn bench_campaign(workload: Workload, args: &Args, w: &mut ObjWriter) -> f64 {
         "campaign ({}): {off_wall:.2}s → {on_wall:.2}s  ({speedup:.2}x, {runs} runs)",
         workload.name(),
     );
-    speedup
 }
 
 fn main() {
@@ -209,20 +123,10 @@ fn main() {
         },
     );
 
-    let prefix = bench_prefix(Workload::Crc32, &args, &mut w);
-    let campaign = bench_campaign(Workload::Crc32, &args, &mut w);
+    bench_campaign(Workload::Crc32, &args, &mut w);
 
     let json = w.finish();
     std::fs::write(&args.out, format!("{json}\n"))
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out.display()));
     println!("written to {}", args.out.display());
-
-    if args.require > 0.0 && prefix < args.require {
-        eprintln!(
-            "FAIL: prefix speedup {prefix:.2}x below the required {:.2}x \
-             (campaign speedup was {campaign:.2}x)",
-            args.require
-        );
-        std::process::exit(1);
-    }
 }

@@ -245,7 +245,7 @@ pub struct CampaignConfig {
     /// the campaign. Excluded from the configuration hash for exactly
     /// that resume path.
     pub stop_at_margin: Option<f64>,
-    /// Two-tier prefix execution: serve each run's machine from a
+    /// Amortized prefix execution: serve each run's machine from a
     /// per-worker warp cursor (see [`crate::warp`]) instead of
     /// re-simulating the fault-free prefix from the nearest checkpoint
     /// (or reset) every time.

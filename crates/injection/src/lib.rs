@@ -6,7 +6,7 @@
 //! classified as Masked / SDC / Application Crash / System Crash against
 //! the golden output.
 //!
-//! Campaigns are deterministic (seeded), parallel (crossbeam worker pool),
+//! Campaigns are deterministic (seeded), parallel (scoped-thread worker pool),
 //! and carry the statistical machinery of Leveugle et al. used by the
 //! paper: sample-size selection at 99% confidence and the post-campaign
 //! error-margin re-adjustment behind Table IV.

@@ -1,15 +1,14 @@
-//! The warp cursor: two-tier prefix execution for injection campaigns.
+//! The warp cursor: amortized prefix execution for injection campaigns.
 //!
 //! Campaign wall-clock is dominated by the fault-free prefix — every run
 //! must land on the golden path at its strike cycle before the flip, and
 //! with sparse (or no) checkpoints that means re-simulating the same
-//! prefix over and over. The microarch warp tier (fused-trace functional
-//! execution) cannot serve that prefix directly: its timing and residency
-//! are approximate, and campaign journals are a *byte-exact* contract.
+//! prefix over and over. A cheaper, approximate model cannot serve that
+//! prefix: campaign journals are a *byte-exact* contract.
 //!
-//! The cursor closes the gap with the determinism contract instead: each
-//! worker thread keeps one long-lived fault-free machine — the **cursor**
-//! — pinned to the golden path. Injection specs and beam strikes run in
+//! The cursor amortizes the detailed prefix instead: each worker thread
+//! keeps one long-lived fault-free machine — the **cursor** — pinned to
+//! the golden path. Injection specs and beam strikes run in
 //! strike-cycle order and workers claim contiguous ascending blocks of
 //! that order, so the cursor only ever moves *forward*; reaching the next
 //! strike cycle costs the delta from the previous one, not the whole

@@ -1,14 +1,11 @@
-//! The two-tier execution engine's correctness bar at the campaign level:
-//! arming the warp cursor (`CampaignConfig::warp`) must never change what
-//! a campaign computes — every injected run classifies identically, and a
-//! journaled campaign produces byte-identical journal files.
+//! The warp cursor's correctness bar at the campaign level: arming the
+//! cursor (`CampaignConfig::warp`) must never change what a campaign
+//! computes — every injected run classifies identically, and a journaled
+//! campaign produces byte-identical journal files.
 //!
-//! (The functional warp tier's own bar — architectural lockstep with
-//! detailed stepping across SMC, mode changes and TLB flushes — lives in
-//! `sea-microarch/tests/warp.rs`. This file holds the handoff bar: a
-//! machine cloned off the fault-free cursor is *bit-exact* detailed
-//! state, indistinguishable from stepping a fresh boot to the same
-//! cycle.)
+//! This file holds the handoff bar: a machine cloned off the fault-free
+//! cursor is *bit-exact* detailed state, indistinguishable from stepping
+//! a fresh boot to the same cycle.
 
 use proptest::prelude::*;
 use sea_injection::{

@@ -111,7 +111,6 @@ impl<D: Device> System<D> {
     /// Panics if `bit >= component_bits(c)`.
     pub fn flip_bit(&mut self, c: Component, bit: u64) -> InjectionSite {
         self.fastpath_invalidate();
-        self.warp_invalidate();
         let (array, was_valid) = match c {
             Component::RegFile => {
                 self.cpu.regs.flip_bit(bit);

@@ -44,7 +44,6 @@ mod provenance;
 mod regfile;
 mod system;
 mod tlb;
-mod warp;
 
 pub use cache::{ArrayKind, Cache, FlipInfo, Probe, WatchReport};
 pub use config::{CacheConfig, ExecMode, Latencies, MachineConfig};
@@ -66,4 +65,3 @@ pub use provenance::{FaultProbe, Hop, HopKind, Residence};
 pub use regfile::{Cpsr, Mode, RegFile, REGFILE_BITS};
 pub use system::{Cpu, StepOutcome, System};
 pub use tlb::{Tlb, TlbEntry};
-pub use warp::{WarpConfig, WarpStats};

@@ -7,7 +7,7 @@ use sea_isa::{
 
 use sea_snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::config::{ExecMode, MachineConfig};
+use crate::config::MachineConfig;
 use crate::counters::Counters;
 use crate::exception::{AbortCause, Exception, VECTOR_BASE};
 use crate::fastpath::{FastPath, FastPathConfig, FastPathStats};
@@ -18,31 +18,13 @@ use crate::profiler::{sample_counters, MemProfiler, SysProfiler};
 use crate::provenance::FaultProbe;
 use crate::regfile::{Cpsr, Mode, RegFile};
 use crate::tlb::{Tlb, TlbEntry};
-use crate::warp::{
-    Uop, WarpBlock, WarpConfig, WarpEngine, WarpStats, MEM_IMM, MEM_PRE, MEM_SUB, MEM_WB, NO_REG,
-};
 use sea_profile::ProfileData;
 
-/// Monomorphization selector for the pipeline stages shared by the
-/// execution tiers. One generic body compiles into three builds:
-///
-/// * [`tier::REF`] — the reference build: profiler and trace-ring
-///   branches live, no memoization;
-/// * [`tier::FAST`] — the fast-path build: µop cache, translation
-///   latches and MRU line hits, no profiler branches (PR 5);
-/// * [`tier::WARP`] — the functional-tier build: warp translation
-///   cache, no predictor training, no profiler or probe branches.
-///
-/// `u8` because stable const generics cannot take a custom enum; the
-/// constants are the closed set of values ever instantiated.
-pub(crate) mod tier {
-    /// Reference build (profilers + trace ring, no memoization).
-    pub const REF: u8 = 0;
-    /// Fast-path build (µop cache + latches, PR 5).
-    pub const FAST: u8 = 1;
-    /// Warp functional-tier build (see [`crate::warp`]).
-    pub const WARP: u8 = 2;
-}
+// The pipeline stages below are generic over `const FAST: bool`, so one
+// body compiles into the two step builds `System::step` dispatches to:
+// `false` is the reference build (profiler and trace-ring branches live,
+// no memoization) and `true` the fast-path build (µop cache, translation
+// latches and MRU line hits, no profiler branches).
 
 /// Result of one [`System::step`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -280,10 +262,6 @@ pub struct System<D> {
     /// [`System::fastpath_enable`]. Pure memoization — never snapshotted,
     /// and dropping it is always equivalence-preserving.
     pub(crate) fast: Option<Box<FastPath>>,
-    /// Functional-tier trace cache (fused basic blocks), armed by
-    /// [`System::warp_enable`] and consumed by [`System::run_warp`].
-    /// Like the fast path: never snapshotted, absent by default.
-    pub(crate) warp: Option<Box<WarpEngine>>,
 }
 
 impl<D: Device> System<D> {
@@ -304,7 +282,6 @@ impl<D: Device> System<D> {
             probe: None,
             prof: None,
             fast: None,
-            warp: None,
         }
     }
 
@@ -364,60 +341,6 @@ impl<D: Device> System<D> {
         if let Some(f) = self.fast.as_deref_mut() {
             f.invalidate_all();
         }
-    }
-
-    // ----- the warp tier ----------------------------------------------------
-
-    /// Arms the functional execution tier: a fused-basic-block trace
-    /// cache executed with architectural state only (see [`crate::warp`]).
-    /// Starts cold; replaces any previous warp state. Arming changes
-    /// nothing until [`System::run_warp`] is called — detailed stepping
-    /// stays bit-exact with the engine parked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn warp_enable(&mut self, cfg: WarpConfig) {
-        self.warp = Some(Box::new(WarpEngine::new(&cfg)));
-    }
-
-    /// Drops the warp tier and its cached traces.
-    pub fn warp_disable(&mut self) {
-        self.warp = None;
-    }
-
-    /// Whether the warp tier is armed.
-    pub fn warp_enabled(&self) -> bool {
-        self.warp.is_some()
-    }
-
-    /// Warp-tier effectiveness counters; `None` when disarmed.
-    pub fn warp_stats(&self) -> Option<WarpStats> {
-        self.warp.as_deref().map(WarpEngine::stats)
-    }
-
-    /// Flushes every cached warp trace (if the tier is armed). Called
-    /// wherever a cached decode could go stale for non-SMC reasons:
-    /// translation changes (TTBR writes, TLB flushes), mode changes
-    /// (CPSR writes, exception entry/return) and fault injection.
-    fn warp_flush(&mut self) {
-        if let Some(w) = self.warp.as_deref_mut() {
-            w.flush();
-        }
-    }
-
-    /// SMC hygiene for the warp tier: a store into a physical page with
-    /// cached blocks drops them. A single `Option` test when disarmed.
-    fn warp_note_write(&mut self, paddr: u32) {
-        if let Some(w) = self.warp.as_deref_mut() {
-            w.note_write(paddr);
-        }
-    }
-
-    /// Full warp invalidation on an injected fault — a corrupted code
-    /// byte (or page table) must never execute from a stale trace.
-    pub(crate) fn warp_invalidate(&mut self) {
-        self.warp_flush();
     }
 
     // ----- profiling --------------------------------------------------------
@@ -529,29 +452,14 @@ impl<D: Device> System<D> {
 
     // ----- translation ------------------------------------------------------
 
-    fn translate<const MODE: u8>(
+    fn translate<const FAST: bool>(
         &mut self,
         vaddr: u32,
         access: Access,
     ) -> Result<(u32, u32), Exception> {
         let vpn = vaddr >> mmu::PAGE_SHIFT;
         let is_fetch = matches!(access, Access::Fetch);
-        if MODE == tier::WARP {
-            // The warp translation cache: a direct-mapped vpn → entry
-            // array with TLB semantics (stale until an explicit flush,
-            // like hardware TLBs) but O(1) probes instead of the
-            // reference TLB's associative scan. Permissions are still
-            // checked per access against the live mode.
-            if let Some(entry) = self
-                .warp
-                .as_deref()
-                .expect("warp tier")
-                .translate_lookup(vpn)
-            {
-                return Self::check_translation(vaddr, access, self.cpu.cpsr.mode, entry, 0);
-            }
-        }
-        if MODE == tier::FAST {
+        if FAST {
             // Same-page streak: revalidate the last (vpn, slot) latched for
             // this access class against the live TLB. A hit replays exactly
             // the bookkeeping a scan hit would (see Tlb::hit_latched); a
@@ -584,7 +492,7 @@ impl<D: Device> System<D> {
         let mut lat = 0;
         let (slot, entry) = match hit {
             Some((slot, e)) => {
-                if MODE == tier::REF {
+                if !FAST {
                     let cyc = self.cpu.counters.cycles;
                     if let Some(p) = self.prof.as_deref_mut() {
                         if is_fetch {
@@ -609,7 +517,7 @@ impl<D: Device> System<D> {
                 } else {
                     self.dtlb.insert_slot(e)
                 };
-                if MODE == tier::REF {
+                if !FAST {
                     let cyc = self.cpu.counters.cycles;
                     if let Some(p) = self.prof.as_deref_mut() {
                         if is_fetch {
@@ -622,14 +530,8 @@ impl<D: Device> System<D> {
                 (slot, e)
             }
         };
-        if MODE == tier::FAST {
+        if FAST {
             self.fast_state().latch_set(access as usize, vpn, slot);
-        }
-        if MODE == tier::WARP {
-            self.warp
-                .as_deref_mut()
-                .expect("warp tier")
-                .translate_insert(entry);
         }
         Self::check_translation(vaddr, access, self.cpu.cpsr.mode, entry, lat)
     }
@@ -723,19 +625,19 @@ impl<D: Device> System<D> {
         Ok(false)
     }
 
-    fn read_mem<const MODE: u8>(&mut self, vaddr: u32, size: MemSize) -> Result<u32, Exception> {
+    fn read_mem<const FAST: bool>(&mut self, vaddr: u32, size: MemSize) -> Result<u32, Exception> {
         if !vaddr.is_multiple_of(size.bytes()) {
             return Err(Exception::DataAbort {
                 vaddr,
                 cause: AbortCause::Alignment,
             });
         }
-        let (paddr, lat) = self.translate::<MODE>(vaddr, Access::Read)?;
+        let (paddr, lat) = self.translate::<FAST>(vaddr, Access::Read)?;
         self.cpu.counters.cycles += lat as u64;
         if self.check_phys_range(vaddr, paddr, size.bytes(), Access::Read)? {
             return Ok(self.dev.read(paddr - DEVICE_BASE, size));
         }
-        if MODE == tier::FAST {
+        if FAST {
             let base = paddr & !(self.mem.l1d.line_bytes() - 1);
             if let Some(idx) = self.fast_state().data_line_get(base) {
                 if let Some((v, lat)) =
@@ -750,13 +652,13 @@ impl<D: Device> System<D> {
         }
         let (v, lat) = self.mem.read_data(paddr, size, &mut self.cpu.counters);
         self.cpu.counters.cycles += lat as u64;
-        if MODE == tier::FAST {
+        if FAST {
             self.latch_data_line(paddr);
         }
         Ok(v)
     }
 
-    fn write_mem<const MODE: u8>(
+    fn write_mem<const FAST: bool>(
         &mut self,
         vaddr: u32,
         size: MemSize,
@@ -768,16 +670,13 @@ impl<D: Device> System<D> {
                 cause: AbortCause::Alignment,
             });
         }
-        let (paddr, lat) = self.translate::<MODE>(vaddr, Access::Write)?;
+        let (paddr, lat) = self.translate::<FAST>(vaddr, Access::Write)?;
         self.cpu.counters.cycles += lat as u64;
         if self.check_phys_range(vaddr, paddr, size.bytes(), Access::Write)? {
             self.dev.write(paddr - DEVICE_BASE, size, value);
             return Ok(());
         }
-        // Warp-tier SMC hygiene: one `Option` test when the tier is
-        // disarmed (every campaign machine), a page-filter probe when not.
-        self.warp_note_write(paddr);
-        if MODE == tier::FAST {
+        if FAST {
             // Self-modifying code: a store into a predecoded word drops its
             // µop line. (The (paddr, word) key already guarantees the next
             // fetch re-decodes whatever it actually reads; this just frees
@@ -799,23 +698,23 @@ impl<D: Device> System<D> {
             .mem
             .write_data(paddr, size, value, &mut self.cpu.counters);
         self.cpu.counters.cycles += lat as u64;
-        if MODE == tier::FAST {
+        if FAST {
             self.latch_data_line(paddr);
         }
         Ok(())
     }
 
-    fn fetch_insn<const MODE: u8>(&mut self, vaddr: u32) -> Result<(u32, u32), Exception> {
+    fn fetch_insn<const FAST: bool>(&mut self, vaddr: u32) -> Result<(u32, u32), Exception> {
         if !vaddr.is_multiple_of(4) {
             return Err(Exception::PrefetchAbort {
                 vaddr,
                 cause: AbortCause::Alignment,
             });
         }
-        let (paddr, lat) = self.translate::<MODE>(vaddr, Access::Fetch)?;
+        let (paddr, lat) = self.translate::<FAST>(vaddr, Access::Fetch)?;
         self.cpu.counters.cycles += lat as u64;
         self.check_phys_range(vaddr, paddr, 4, Access::Fetch)?;
-        if MODE == tier::FAST {
+        if FAST {
             if let Some((base, idx)) = self.fast_state().fetch_line {
                 if paddr & !(self.mem.l1i.line_bytes() - 1) == base {
                     if let Some((w, lat)) = self.mem.fetch_mru(idx, paddr, &mut self.cpu.counters) {
@@ -828,7 +727,7 @@ impl<D: Device> System<D> {
         }
         let (w, lat) = self.mem.fetch(paddr, &mut self.cpu.counters);
         self.cpu.counters.cycles += lat as u64;
-        if MODE == tier::FAST && self.mem.is_detailed() {
+        if FAST && self.mem.is_detailed() {
             // After a detailed fetch the line is resident; remember it so
             // the next same-line fetch skips the set scan.
             if let Some(idx) = self.mem.l1i.find_line(paddr) {
@@ -868,7 +767,6 @@ impl<D: Device> System<D> {
         self.cpu.pc = VECTOR_BASE + e.vector_offset();
         self.cpu.counters.cycles += 3; // pipeline flush on exception entry
         self.fastpath_clear_latches(); // mode change
-        self.warp_flush(); // mode change: cached traces carry mode-checked decodes
     }
 
     // ----- operand helpers ----------------------------------------------------
@@ -881,11 +779,11 @@ impl<D: Device> System<D> {
     /// more carries out the sign bit; ROR carries out bit 31 of the
     /// rotated result (which covers every non-zero amount, including
     /// multiples of 32).
-    fn eval_op2<const MODE: u8>(&self, op2: Operand2) -> Result<(u32, bool), Exception> {
+    fn eval_op2<const FAST: bool>(&self, op2: Operand2) -> Result<(u32, bool), Exception> {
         match op2 {
             Operand2::Imm { .. } => Ok((op2.imm_value().unwrap(), self.cpu.cpsr.c)),
             Operand2::Reg(sr) => {
-                let v = self.reg_read::<MODE>(sr.rm)?;
+                let v = self.reg_read::<FAST>(sr.rm)?;
                 let amount = sr.amount as u32;
                 if amount == 0 {
                     return Ok((v, self.cpu.cpsr.c));
@@ -902,14 +800,14 @@ impl<D: Device> System<D> {
         }
     }
 
-    fn reg_read<const MODE: u8>(&self, r: sea_isa::Reg) -> Result<u32, Exception> {
+    fn reg_read<const FAST: bool>(&self, r: sea_isa::Reg) -> Result<u32, Exception> {
         if r == sea_isa::Reg::Pc {
             // AR32 forbids pc as a data operand; a bit flip that turns a
             // register field into r15 therefore faults, like a corrupted
             // encoding on real hardware.
             return Err(Exception::Undefined { word: 0xFFFF });
         }
-        if MODE == tier::REF {
+        if !FAST {
             if let Some(p) = self.prof.as_deref() {
                 p.regs.borrow_mut().touch(
                     RegFile::word_index(r, self.cpu.cpsr.mode),
@@ -920,11 +818,11 @@ impl<D: Device> System<D> {
         Ok(self.cpu.regs.get(r, self.cpu.cpsr.mode))
     }
 
-    fn reg_write<const MODE: u8>(&mut self, r: sea_isa::Reg, v: u32) -> Result<(), Exception> {
+    fn reg_write<const FAST: bool>(&mut self, r: sea_isa::Reg, v: u32) -> Result<(), Exception> {
         if r == sea_isa::Reg::Pc {
             return Err(Exception::Undefined { word: 0xFFFF });
         }
-        if MODE == tier::REF {
+        if !FAST {
             if let Some(p) = self.prof.as_deref() {
                 // A write is a def: it closes the old value's interval (its
                 // last read bounds its ACE time) and opens a new one.
@@ -959,9 +857,9 @@ impl<D: Device> System<D> {
     pub fn step(&mut self) -> StepOutcome {
         let pc = self.cpu.pc;
         let out = if self.fast.is_some() && self.prof.is_none() && self.cpu.trace.is_none() {
-            self.step_exec::<{ tier::FAST }>()
+            self.step_exec::<true>()
         } else {
-            self.step_exec::<{ tier::REF }>()
+            self.step_exec::<false>()
         };
         // Same zero-cost-when-off shape as sea-trace: one relaxed atomic
         // load, and the profiler slot is `None` on campaign machines.
@@ -976,7 +874,7 @@ impl<D: Device> System<D> {
         out
     }
 
-    /// The interrupt stage, shared by both execution tiers: WFI idling
+    /// The interrupt stage, shared by both step builds: WFI idling
     /// and IRQ vectoring ahead of fetch. `Some` means the step is
     /// complete without fetching an instruction.
     fn stage_interrupt(&mut self) -> Option<StepOutcome> {
@@ -1001,28 +899,25 @@ impl<D: Device> System<D> {
         None
     }
 
-    /// The issue stage, shared by both execution tiers: condition check
+    /// The issue stage, shared by both step builds: condition check
     /// (including the failed-conditional-branch predictor training the
     /// reference path performs) and execution of one decoded instruction.
-    fn stage_issue<const MODE: u8>(&mut self, insn: Insn, pc: u32) -> Result<Flow, Exception> {
+    fn stage_issue<const FAST: bool>(&mut self, insn: Insn, pc: u32) -> Result<Flow, Exception> {
         let cpsr = self.cpu.cpsr;
         if !insn.cond().holds(cpsr.n, cpsr.z, cpsr.c, cpsr.v) {
             self.cpu.counters.cycles += 1;
             // Conditional branches whose condition fails still train the
-            // predictor — except in the warp build, where branches carry
-            // a flat unit cost (timing is approximate by contract).
+            // predictor.
             if let Insn::Branch { .. } = insn {
                 self.cpu.counters.branches += 1;
-                if MODE != tier::WARP {
-                    self.predict_and_train(pc, false);
-                }
+                self.predict_and_train(pc, false);
             }
             return Ok(Flow::Next);
         }
-        self.execute::<MODE>(insn, pc)
+        self.execute::<FAST>(insn, pc)
     }
 
-    /// The retire stage, shared by both execution tiers: commit the
+    /// The retire stage, shared by both step builds: commit the
     /// control-flow decision to the PC (and the WFI latch).
     fn stage_retire(&mut self, pc: u32, flow: Flow) -> StepOutcome {
         match flow {
@@ -1043,19 +938,19 @@ impl<D: Device> System<D> {
         }
     }
 
-    fn step_exec<const MODE: u8>(&mut self) -> StepOutcome {
+    fn step_exec<const FAST: bool>(&mut self) -> StepOutcome {
         if let Some(out) = self.stage_interrupt() {
             return out;
         }
 
         let pc = self.cpu.pc;
-        if MODE == tier::REF {
+        if !FAST {
             // The FAST dispatch guarantees the trace ring is absent.
             if let Some(t) = self.cpu.trace.as_mut() {
                 t.push(pc);
             }
         }
-        let (paddr, word) = match self.fetch_insn::<MODE>(pc) {
+        let (paddr, word) = match self.fetch_insn::<FAST>(pc) {
             Ok(pw) => pw,
             Err(e) => {
                 if Self::in_vector_page(pc) {
@@ -1065,7 +960,7 @@ impl<D: Device> System<D> {
                 return StepOutcome::Executed;
             }
         };
-        let decoded = if MODE == tier::FAST {
+        let decoded = if FAST {
             self.uop_decode(paddr, word)
         } else {
             decode(word).ok()
@@ -1079,523 +974,13 @@ impl<D: Device> System<D> {
         };
         self.cpu.counters.instructions += 1;
 
-        match self.stage_issue::<MODE>(insn, pc) {
+        match self.stage_issue::<FAST>(insn, pc) {
             Ok(flow) => self.stage_retire(pc, flow),
             Err(e) => {
                 self.take_exception(e, pc);
                 StepOutcome::Executed
             }
         }
-    }
-
-    // ----- the warp tier's run loop -----------------------------------------
-
-    /// Executes up to `max_steps` steps in the functional warp tier.
-    ///
-    /// The tier runs fused basic-block traces (see [`crate::warp`]) with
-    /// architectural state only: entering drains the detailed cache
-    /// hierarchy and switches memory to [`ExecMode::Atomic`]; leaving
-    /// restores the previous mode with the hierarchy cold. One "step"
-    /// counts exactly what one [`System::step`] call would: an
-    /// instruction retired, an exception vectored, or a WFI idle beat —
-    /// so `run_warp(n)` covers the same instruction stream as `n`
-    /// detailed steps while IRQs are quiescent.
-    ///
-    /// Returns early on [`StepOutcome::Halted`] / [`StepOutcome::LockedUp`],
-    /// otherwise [`StepOutcome::Executed`] once the budget is spent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the warp tier is not armed ([`System::warp_enable`]).
-    pub fn run_warp(&mut self, max_steps: u64) -> StepOutcome {
-        assert!(self.warp.is_some(), "run_warp without warp_enable");
-        debug_assert!(
-            self.prof.is_none(),
-            "the warp tier skips the bookkeeping profilers sample; detach them first"
-        );
-        debug_assert!(
-            self.probe.is_none(),
-            "the warp tier is fault-free only; it skips the provenance probe"
-        );
-        let saved = self.mem.exec_mode();
-        if saved == ExecMode::Detailed {
-            // Atomic accesses go straight to DRAM; drain dirty lines so
-            // they see committed state (and the detailed tier restarts
-            // cold instead of reading lines warp's stores bypassed).
-            self.mem.clean_invalidate_all();
-        }
-        self.mem.set_exec_mode(ExecMode::Atomic);
-        let out = self.warp_run_inner(max_steps);
-        self.mem.set_exec_mode(saved);
-        out
-    }
-
-    fn warp_run_inner(&mut self, max_steps: u64) -> StepOutcome {
-        let mut steps = 0u64;
-        let mut insns = 0u64;
-        let mut local_hits = 0u64;
-        // The last block executed, kept in a local so a tight loop
-        // re-enters its body without touching the engine at all — no slot
-        // hash, no `Arc` refcount traffic. The generation stamp makes a
-        // stale block unreachable: any invalidation bumps it.
-        let mut cached: Option<(u64, WarpBlock)> = None;
-        while steps < max_steps {
-            if let Some(out) = self.stage_interrupt() {
-                steps += 1;
-                if out != StepOutcome::Executed {
-                    break;
-                }
-                continue;
-            }
-            let pc = self.cpu.pc;
-            let gen_now = self.warp.as_ref().expect("armed").generation;
-            match &cached {
-                Some((g, b)) if *g == gen_now && b.vaddr == pc => local_hits += 1,
-                _ => {
-                    let block = match self.warp_block_at(pc) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            steps += 1;
-                            // A *fetch* fault in the vector page is a
-                            // lockup, as on the detailed path; an
-                            // undecodable word vectors Undefined from
-                            // anywhere.
-                            if !matches!(e, Exception::Undefined { .. }) && Self::in_vector_page(pc)
-                            {
-                                self.bank_warp_stats(insns, local_hits);
-                                return StepOutcome::LockedUp;
-                            }
-                            self.take_exception(e, pc);
-                            continue;
-                        }
-                    };
-                    let gen = self.warp.as_ref().expect("armed").generation;
-                    cached = Some((gen, block));
-                }
-            }
-            let (gen, block) = cached.as_ref().expect("cached above");
-            let gen = *gen;
-            // Budget is enforced by slicing the block up front, so the
-            // µop loop carries no per-step budget check.
-            let n = block.uops.len().min((max_steps - steps) as usize);
-            let base = pc;
-            let mut k = 0usize;
-            // While `linear` holds, the program counter is implicit
-            // (`base + 4k`) and never stored; µops that redirect it —
-            // taken branches, exceptions, the slow path — store it
-            // themselves and clear the flag.
-            let mut linear = true;
-            let mut done = StepOutcome::Executed;
-            while k < n {
-                let upc = base.wrapping_add(4 * k as u32);
-                if let Some(t) = self.cpu.trace.as_mut() {
-                    t.push(upc);
-                }
-                self.cpu.counters.instructions += 1;
-                k += 1;
-                match block.uops[k - 1] {
-                    // The Alu µops were proven side-effect-free at
-                    // lowering time (unconditional, no pc operands): no
-                    // exception, control-flow, wfi or invalidation
-                    // checks apply.
-                    Uop::AluRI { op, s, rd, rn, imm } => {
-                        self.cpu.counters.cycles += 1;
-                        let a = if rn == NO_REG {
-                            0
-                        } else {
-                            self.cpu.regs.word(rn as usize)
-                        };
-                        let c_in = self.cpu.cpsr.c;
-                        let (result, carry, overflow) = alu(op, a, imm, c_in, c_in);
-                        if s {
-                            self.cpu.cpsr.n = result & 0x8000_0000 != 0;
-                            self.cpu.cpsr.z = result == 0;
-                            self.cpu.cpsr.c = carry;
-                            self.cpu.cpsr.v = overflow;
-                        }
-                        if !op.is_compare() {
-                            self.cpu.regs.set_word(rd as usize, result);
-                        }
-                    }
-                    Uop::AluRR { op, s, rd, rn, rm } => {
-                        self.cpu.counters.cycles += 1;
-                        let b = self.cpu.regs.word(rm as usize);
-                        let a = if rn == NO_REG {
-                            0
-                        } else {
-                            self.cpu.regs.word(rn as usize)
-                        };
-                        let c_in = self.cpu.cpsr.c;
-                        let (result, carry, overflow) = alu(op, a, b, c_in, c_in);
-                        if s {
-                            self.cpu.cpsr.n = result & 0x8000_0000 != 0;
-                            self.cpu.cpsr.z = result == 0;
-                            self.cpu.cpsr.c = carry;
-                            self.cpu.cpsr.v = overflow;
-                        }
-                        if !op.is_compare() {
-                            self.cpu.regs.set_word(rd as usize, result);
-                        }
-                    }
-                    Uop::AluRRS {
-                        op,
-                        s,
-                        rd,
-                        rn,
-                        rm,
-                        shift,
-                        amount,
-                    } => {
-                        self.cpu.counters.cycles += 1;
-                        let v = self.cpu.regs.word(rm as usize);
-                        let amt = amount as u32;
-                        let b = shift.apply(v, amount);
-                        // Shifter carry exactly as eval_op2 computes it.
-                        let shifter_c = match shift {
-                            Shift::Lsl => amt <= 32 && (v >> (32 - amt)) & 1 == 1,
-                            Shift::Lsr => amt <= 32 && (v >> (amt - 1)) & 1 == 1,
-                            Shift::Asr => (v >> (amt - 1).min(31)) & 1 == 1,
-                            Shift::Ror => (b >> 31) & 1 == 1,
-                        };
-                        let a = if rn == NO_REG {
-                            0
-                        } else {
-                            self.cpu.regs.word(rn as usize)
-                        };
-                        let c_in = self.cpu.cpsr.c;
-                        let (result, carry, overflow) = alu(op, a, b, c_in, shifter_c);
-                        if s {
-                            self.cpu.cpsr.n = result & 0x8000_0000 != 0;
-                            self.cpu.cpsr.z = result == 0;
-                            self.cpu.cpsr.c = carry;
-                            self.cpu.cpsr.v = overflow;
-                        }
-                        if !op.is_compare() {
-                            self.cpu.regs.set_word(rd as usize, result);
-                        }
-                    }
-                    Uop::MovW { top, rd, imm } => {
-                        self.cpu.counters.cycles += 1;
-                        let v = if top {
-                            (self.cpu.regs.word(rd as usize) & 0xFFFF) | ((imm as u32) << 16)
-                        } else {
-                            imm as u32
-                        };
-                        self.cpu.regs.set_word(rd as usize, v);
-                    }
-                    Uop::Ldr {
-                        size,
-                        rd,
-                        rn,
-                        flags,
-                        rm,
-                        shl,
-                        off,
-                    } => {
-                        self.cpu.counters.cycles += 1;
-                        let base_v = self.cpu.regs.word(rn as usize);
-                        let off_v = if flags & MEM_IMM != 0 {
-                            off
-                        } else {
-                            self.cpu.regs.word(rm as usize) << shl
-                        };
-                        let indexed = if flags & MEM_SUB != 0 {
-                            base_v.wrapping_sub(off_v)
-                        } else {
-                            base_v.wrapping_add(off_v)
-                        };
-                        let vaddr = if flags & MEM_PRE != 0 {
-                            indexed
-                        } else {
-                            base_v
-                        };
-                        match self.read_mem::<{ tier::WARP }>(vaddr, size) {
-                            Ok(v) => {
-                                if flags & MEM_WB != 0 {
-                                    self.cpu.regs.set_word(rn as usize, indexed);
-                                }
-                                self.cpu.regs.set_word(rd as usize, v);
-                            }
-                            Err(e) => {
-                                self.take_exception(e, upc);
-                                linear = false;
-                                break;
-                            }
-                        }
-                    }
-                    Uop::Str {
-                        size,
-                        rd,
-                        rn,
-                        flags,
-                        rm,
-                        shl,
-                        off,
-                    } => {
-                        self.cpu.counters.cycles += 1;
-                        let base_v = self.cpu.regs.word(rn as usize);
-                        let off_v = if flags & MEM_IMM != 0 {
-                            off
-                        } else {
-                            self.cpu.regs.word(rm as usize) << shl
-                        };
-                        let indexed = if flags & MEM_SUB != 0 {
-                            base_v.wrapping_sub(off_v)
-                        } else {
-                            base_v.wrapping_add(off_v)
-                        };
-                        let vaddr = if flags & MEM_PRE != 0 {
-                            indexed
-                        } else {
-                            base_v
-                        };
-                        let v = self.cpu.regs.word(rd as usize);
-                        match self.write_mem::<{ tier::WARP }>(vaddr, size, v) {
-                            Ok(()) => {
-                                if flags & MEM_WB != 0 {
-                                    self.cpu.regs.set_word(rn as usize, indexed);
-                                }
-                                // A store is the one lowered µop that can
-                                // invalidate the block it runs in (SMC);
-                                // leave the trace if it just did.
-                                if self.warp.as_deref().expect("armed").generation != gen {
-                                    break;
-                                }
-                            }
-                            Err(e) => {
-                                self.take_exception(e, upc);
-                                linear = false;
-                                break;
-                            }
-                        }
-                    }
-                    Uop::B { cond, link, target } => {
-                        self.cpu.counters.cycles += 1;
-                        self.cpu.counters.branches += 1;
-                        let cpsr = self.cpu.cpsr;
-                        if cond.holds(cpsr.n, cpsr.z, cpsr.c, cpsr.v) {
-                            if link {
-                                self.cpu.regs.set(
-                                    sea_isa::Reg::Lr,
-                                    self.cpu.cpsr.mode,
-                                    upc.wrapping_add(4),
-                                );
-                            }
-                            self.cpu.pc = target;
-                            linear = false;
-                            break;
-                        }
-                    }
-                    Uop::Slow(insn) => {
-                        // Slow-path instructions observe (and may keep) the
-                        // architectural pc — e.g. Halt/Wfi leave it in
-                        // place — so materialize the deferred value first.
-                        self.cpu.pc = upc;
-                        let out = match self.warp_issue(insn, upc) {
-                            Ok(flow) => self.stage_retire(upc, flow),
-                            Err(e) => {
-                                self.take_exception(e, upc);
-                                StepOutcome::Executed
-                            }
-                        };
-                        linear = false;
-                        if out != StepOutcome::Executed {
-                            done = out;
-                            break;
-                        }
-                        // Leave the trace when control flow did, when the
-                        // core went idle, or when an invalidation (SMC,
-                        // mode/translation change) killed the block.
-                        if self.cpu.pc != upc.wrapping_add(4)
-                            || self.cpu.wfi
-                            || self.warp.as_deref().expect("armed").generation != gen
-                        {
-                            break;
-                        }
-                        linear = true;
-                    }
-                }
-            }
-            steps += k as u64;
-            insns += k as u64;
-            if linear {
-                self.cpu.pc = base.wrapping_add(4 * k as u32);
-            }
-            if done != StepOutcome::Executed {
-                self.bank_warp_stats(insns, local_hits);
-                return done;
-            }
-        }
-        self.bank_warp_stats(insns, local_hits);
-        StepOutcome::Executed
-    }
-
-    fn bank_warp_stats(&mut self, insns: u64, local_hits: u64) {
-        if let Some(w) = self.warp.as_deref_mut() {
-            w.insns += insns;
-            w.block_hits += local_hits;
-        }
-    }
-
-    /// The warp tier's issue stage: `stage_issue::<{ tier::WARP }>` with
-    /// the µops that dominate fused traces — data-processing, single
-    /// loads/stores and direct branches — inlined into the block loop
-    /// instead of dispatched through the full `execute` match (whose size
-    /// keeps it out of line; the call alone roughly doubles a Dp µop's
-    /// cost). The arms are verbatim WARP instantiations of the shared
-    /// ones, so the two paths stay architecturally identical; everything
-    /// else falls through to `execute` itself.
-    #[inline(always)]
-    fn warp_issue(&mut self, insn: Insn, pc: u32) -> Result<Flow, Exception> {
-        let cpsr = self.cpu.cpsr;
-        if !insn.cond().holds(cpsr.n, cpsr.z, cpsr.c, cpsr.v) {
-            self.cpu.counters.cycles += 1;
-            if let Insn::Branch { .. } = insn {
-                self.cpu.counters.branches += 1;
-            }
-            return Ok(Flow::Next);
-        }
-        match insn {
-            Insn::Dp {
-                op, s, rd, rn, op2, ..
-            } => {
-                self.cpu.counters.cycles += 1;
-                let (b, shifter_c) = self.eval_op2::<{ tier::WARP }>(op2)?;
-                let a = if op.ignores_rn() {
-                    0
-                } else {
-                    self.reg_read::<{ tier::WARP }>(rn)?
-                };
-                let c_in = self.cpu.cpsr.c;
-                let (result, carry, overflow) = alu(op, a, b, c_in, shifter_c);
-                if s {
-                    self.cpu.cpsr.n = result & 0x8000_0000 != 0;
-                    self.cpu.cpsr.z = result == 0;
-                    self.cpu.cpsr.c = carry;
-                    self.cpu.cpsr.v = overflow;
-                }
-                if !op.is_compare() {
-                    self.reg_write::<{ tier::WARP }>(rd, result)?;
-                }
-                Ok(Flow::Next)
-            }
-            Insn::Mem {
-                load,
-                size,
-                rd,
-                rn,
-                offset,
-                mode,
-                ..
-            } => {
-                self.cpu.counters.cycles += 1;
-                let base = self.reg_read::<{ tier::WARP }>(rn)?;
-                let off = match offset {
-                    MemOffset::Imm(i) => i as u32,
-                    MemOffset::Reg { rm, shl } => self.reg_read::<{ tier::WARP }>(rm)? << shl,
-                };
-                let indexed = if mode.up {
-                    base.wrapping_add(off)
-                } else {
-                    base.wrapping_sub(off)
-                };
-                let vaddr = if mode.pre { indexed } else { base };
-                if load {
-                    let v = self.read_mem::<{ tier::WARP }>(vaddr, size)?;
-                    if mode.writeback {
-                        self.reg_write::<{ tier::WARP }>(rn, indexed)?;
-                    }
-                    self.reg_write::<{ tier::WARP }>(rd, v)?;
-                } else {
-                    let v = self.reg_read::<{ tier::WARP }>(rd)?;
-                    self.write_mem::<{ tier::WARP }>(vaddr, size, v)?;
-                    if mode.writeback {
-                        self.reg_write::<{ tier::WARP }>(rn, indexed)?;
-                    }
-                }
-                Ok(Flow::Next)
-            }
-            Insn::Branch { link, offset, .. } => {
-                self.cpu.counters.cycles += 1;
-                self.cpu.counters.branches += 1;
-                if link {
-                    self.cpu
-                        .regs
-                        .set(sea_isa::Reg::Lr, self.cpu.cpsr.mode, pc.wrapping_add(4));
-                }
-                Ok(Flow::Jump(
-                    pc.wrapping_add(4).wrapping_add((offset as u32) << 2),
-                ))
-            }
-            _ => self.execute::<{ tier::WARP }>(insn, pc),
-        }
-    }
-
-    /// The cached block starting at `pc`, building (fetch + decode +
-    /// fuse) on a miss. `Err` carries the fault the *first* fetch or
-    /// decode raised — faults on lookahead words just end the block,
-    /// exactly as the per-step path would discover them later.
-    fn warp_block_at(&mut self, pc: u32) -> Result<WarpBlock, Exception> {
-        if let Some(b) = self.warp.as_deref_mut().expect("armed").lookup(pc) {
-            return Ok(b);
-        }
-        let (paddr, word) = self.fetch_insn::<{ tier::REF }>(pc)?;
-        let Ok(first) = decode(word) else {
-            return Err(Exception::Undefined { word });
-        };
-        let max_len = self.warp.as_deref().expect("armed").max_block_len;
-        let mut decoded = vec![first];
-        while (decoded.len() as u32) < max_len
-            && !Self::warp_ends_block(decoded.last().expect("nonempty"))
-        {
-            let va = pc.wrapping_add(4 * decoded.len() as u32);
-            if va >> 12 != pc >> 12 {
-                break; // blocks never cross a page
-            }
-            let Ok((_, w)) = self.fetch_insn::<{ tier::REF }>(va) else {
-                break;
-            };
-            let Ok(i) = decode(w) else {
-                break;
-            };
-            decoded.push(i);
-        }
-        // Lowering resolves banked registers against the current mode —
-        // sound because every mode change flushes the trace cache.
-        let mode = self.cpu.cpsr.mode;
-        let uops: Vec<Uop> = decoded
-            .into_iter()
-            .enumerate()
-            .map(|(k, i)| crate::warp::lower(i, mode, pc.wrapping_add(4 * k as u32)))
-            .collect();
-        let block = WarpBlock {
-            vaddr: pc,
-            ppn: paddr >> 12,
-            uops: uops.into(),
-        };
-        self.warp
-            .as_deref_mut()
-            .expect("armed")
-            .insert(block.clone());
-        Ok(block)
-    }
-
-    /// Instructions that terminate a fused block: anything redirecting
-    /// control flow, raising, or changing machine context — plus `CPS`,
-    /// so an IRQ unmasked mid-trace is polled at the next block boundary
-    /// rather than an unbounded trace later.
-    fn warp_ends_block(insn: &Insn) -> bool {
-        matches!(
-            insn,
-            Insn::Branch { .. }
-                | Insn::Bx { .. }
-                | Insn::Svc { .. }
-                | Insn::Msr { .. }
-                | Insn::Cps { .. }
-                | Insn::Eret { .. }
-                | Insn::Halt { .. }
-                | Insn::Wfi { .. }
-        )
     }
 
     /// Decode via the µop cache: a `(paddr, word)` hit skips the decoder
@@ -1631,7 +1016,7 @@ impl<D: Device> System<D> {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn execute<const MODE: u8>(&mut self, insn: Insn, pc: u32) -> Result<Flow, Exception> {
+    fn execute<const FAST: bool>(&mut self, insn: Insn, pc: u32) -> Result<Flow, Exception> {
         let lat = &self.cfg.lat;
         let (mul_lat, div_lat, fp_lat, fdiv_lat, fsqrt_lat) =
             (lat.mul, lat.div, lat.fp, lat.fdiv, lat.fsqrt);
@@ -1640,11 +1025,11 @@ impl<D: Device> System<D> {
                 op, s, rd, rn, op2, ..
             } => {
                 self.cpu.counters.cycles += 1;
-                let (b, shifter_c) = self.eval_op2::<MODE>(op2)?;
+                let (b, shifter_c) = self.eval_op2::<FAST>(op2)?;
                 let a = if op.ignores_rn() {
                     0
                 } else {
-                    self.reg_read::<MODE>(rn)?
+                    self.reg_read::<FAST>(rn)?
                 };
                 let c_in = self.cpu.cpsr.c;
                 let (result, carry, overflow) = alu(op, a, b, c_in, shifter_c);
@@ -1655,19 +1040,19 @@ impl<D: Device> System<D> {
                     self.cpu.cpsr.v = overflow;
                 }
                 if !op.is_compare() {
-                    self.reg_write::<MODE>(rd, result)?;
+                    self.reg_write::<FAST>(rd, result)?;
                 }
                 Ok(Flow::Next)
             }
             Insn::MovW { top, rd, imm, .. } => {
                 self.cpu.counters.cycles += 1;
-                let old = if top { self.reg_read::<MODE>(rd)? } else { 0 };
+                let old = if top { self.reg_read::<FAST>(rd)? } else { 0 };
                 let v = if top {
                     (old & 0xFFFF) | ((imm as u32) << 16)
                 } else {
                     imm as u32
                 };
-                self.reg_write::<MODE>(rd, v)?;
+                self.reg_write::<FAST>(rd, v)?;
                 Ok(Flow::Next)
             }
             Insn::Mul {
@@ -1679,8 +1064,8 @@ impl<D: Device> System<D> {
                 ra,
                 ..
             } => {
-                let a = self.reg_read::<MODE>(rn)?;
-                let b = self.reg_read::<MODE>(rm)?;
+                let a = self.reg_read::<FAST>(rn)?;
+                let b = self.reg_read::<FAST>(rm)?;
                 let result = match op {
                     MulOp::Mul => {
                         self.cpu.counters.cycles += mul_lat as u64;
@@ -1688,18 +1073,18 @@ impl<D: Device> System<D> {
                     }
                     MulOp::Mla => {
                         self.cpu.counters.cycles += mul_lat as u64;
-                        a.wrapping_mul(b).wrapping_add(self.reg_read::<MODE>(ra)?)
+                        a.wrapping_mul(b).wrapping_add(self.reg_read::<FAST>(ra)?)
                     }
                     MulOp::Umull => {
                         self.cpu.counters.cycles += mul_lat as u64 + 1;
                         let wide = a as u64 * b as u64;
-                        self.reg_write::<MODE>(ra, (wide >> 32) as u32)?;
+                        self.reg_write::<FAST>(ra, (wide >> 32) as u32)?;
                         wide as u32
                     }
                     MulOp::Smull => {
                         self.cpu.counters.cycles += mul_lat as u64 + 1;
                         let wide = (a as i32 as i64 * b as i32 as i64) as u64;
-                        self.reg_write::<MODE>(ra, (wide >> 32) as u32)?;
+                        self.reg_write::<FAST>(ra, (wide >> 32) as u32)?;
                         wide as u32
                     }
                     MulOp::Udiv => {
@@ -1747,7 +1132,7 @@ impl<D: Device> System<D> {
                     self.cpu.cpsr.n = result & 0x8000_0000 != 0;
                     self.cpu.cpsr.z = result == 0;
                 }
-                self.reg_write::<MODE>(rd, result)?;
+                self.reg_write::<FAST>(rd, result)?;
                 Ok(Flow::Next)
             }
             Insn::Mem {
@@ -1760,10 +1145,10 @@ impl<D: Device> System<D> {
                 ..
             } => {
                 self.cpu.counters.cycles += 1;
-                let base = self.reg_read::<MODE>(rn)?;
+                let base = self.reg_read::<FAST>(rn)?;
                 let off = match offset {
                     MemOffset::Imm(i) => i as u32,
-                    MemOffset::Reg { rm, shl } => self.reg_read::<MODE>(rm)? << shl,
+                    MemOffset::Reg { rm, shl } => self.reg_read::<FAST>(rm)? << shl,
                 };
                 let indexed = if mode.up {
                     base.wrapping_add(off)
@@ -1772,23 +1157,21 @@ impl<D: Device> System<D> {
                 };
                 let vaddr = if mode.pre { indexed } else { base };
                 if load {
-                    // The warp build skips the provenance probe: the tier
-                    // only ever runs fault-free (`run_warp` asserts it).
-                    let pre = MODE != tier::WARP && self.probe_data_touched();
-                    let v = self.read_mem::<MODE>(vaddr, size)?;
-                    if MODE != tier::WARP && !pre && self.probe_data_touched() {
+                    let pre = self.probe_data_touched();
+                    let v = self.read_mem::<FAST>(vaddr, size)?;
+                    if !pre && self.probe_data_touched() {
                         // This load consumed the corrupted cache line.
                         self.note_register_fill();
                     }
                     if mode.writeback {
-                        self.reg_write::<MODE>(rn, indexed)?;
+                        self.reg_write::<FAST>(rn, indexed)?;
                     }
-                    self.reg_write::<MODE>(rd, v)?; // load result wins over writeback
+                    self.reg_write::<FAST>(rd, v)?; // load result wins over writeback
                 } else {
-                    let v = self.reg_read::<MODE>(rd)?;
-                    self.write_mem::<MODE>(vaddr, size, v)?;
+                    let v = self.reg_read::<FAST>(rd)?;
+                    self.write_mem::<FAST>(vaddr, size, v)?;
                     if mode.writeback {
-                        self.reg_write::<MODE>(rn, indexed)?;
+                        self.reg_write::<FAST>(rn, indexed)?;
                     }
                 }
                 Ok(Flow::Next)
@@ -1807,7 +1190,7 @@ impl<D: Device> System<D> {
                     return Err(Exception::Undefined { word: 0x8000 });
                 }
                 let n = regs.count_ones();
-                let base = self.reg_read::<MODE>(rn)?;
+                let base = self.reg_read::<FAST>(rn)?;
                 let lowest = match (up, before) {
                     (true, false) => base,                                      // ia
                     (true, true) => base.wrapping_add(4),                       // ib
@@ -1827,23 +1210,23 @@ impl<D: Device> System<D> {
                     self.cpu.counters.cycles += 1;
                     let r = sea_isa::Reg::from_index(i);
                     if load {
-                        let v = self.read_mem::<MODE>(addr, MemSize::Word)?;
-                        self.reg_write::<MODE>(r, v)?;
+                        let v = self.read_mem::<FAST>(addr, MemSize::Word)?;
+                        self.reg_write::<FAST>(r, v)?;
                     } else {
-                        let v = self.reg_read::<MODE>(r)?;
-                        self.write_mem::<MODE>(addr, MemSize::Word, v)?;
+                        let v = self.reg_read::<FAST>(r)?;
+                        self.write_mem::<FAST>(addr, MemSize::Word, v)?;
                     }
                     addr = addr.wrapping_add(4);
                 }
                 if writeback {
-                    self.reg_write::<MODE>(rn, final_base)?;
+                    self.reg_write::<FAST>(rn, final_base)?;
                 }
                 Ok(Flow::Next)
             }
             Insn::Branch { link, offset, .. } => {
                 self.cpu.counters.cycles += 1;
                 self.cpu.counters.branches += 1;
-                if MODE != tier::WARP && insn.cond() != Cond::Al {
+                if insn.cond() != Cond::Al {
                     self.predict_and_train(pc, true);
                 }
                 if link {
@@ -1858,7 +1241,7 @@ impl<D: Device> System<D> {
             Insn::Bx { rm, .. } => {
                 self.cpu.counters.cycles += 1 + self.cfg.lat.branch_miss as u64 / 2;
                 self.cpu.counters.branches += 1;
-                let target = self.reg_read::<MODE>(rm)? & !1;
+                let target = self.reg_read::<FAST>(rm)? & !1;
                 Ok(Flow::Jump(target))
             }
             Insn::FpArith { op, sd, sn, sm, .. } => {
@@ -1914,24 +1297,24 @@ impl<D: Device> System<D> {
                 } else {
                     a.max(i32::MIN as f32).min(i32::MAX as f32) as i32
                 };
-                self.reg_write::<MODE>(rd, v as u32)?;
+                self.reg_write::<FAST>(rd, v as u32)?;
                 Ok(Flow::Next)
             }
             Insn::IntToFp { sd, rm, .. } => {
                 self.cpu.counters.cycles += fp_lat as u64;
-                let v = self.reg_read::<MODE>(rm)? as i32;
+                let v = self.reg_read::<FAST>(rm)? as i32;
                 self.cpu.regs.fset(sd, v as f32);
                 Ok(Flow::Next)
             }
             Insn::FpToCore { rd, sn, .. } => {
                 self.cpu.counters.cycles += 1;
                 let bits = self.cpu.regs.fget_bits(sn);
-                self.reg_write::<MODE>(rd, bits)?;
+                self.reg_write::<FAST>(rd, bits)?;
                 Ok(Flow::Next)
             }
             Insn::CoreToFp { sd, rn, .. } => {
                 self.cpu.counters.cycles += 1;
-                let bits = self.reg_read::<MODE>(rn)?;
+                let bits = self.reg_read::<FAST>(rn)?;
                 self.cpu.regs.fset_bits(sd, bits);
                 Ok(Flow::Next)
             }
@@ -1939,14 +1322,14 @@ impl<D: Device> System<D> {
                 load, sd, rn, imm6, ..
             } => {
                 self.cpu.counters.cycles += 1;
-                let base = self.reg_read::<MODE>(rn)?;
+                let base = self.reg_read::<FAST>(rn)?;
                 let vaddr = base.wrapping_add(4 * imm6 as u32);
                 if load {
-                    let v = self.read_mem::<MODE>(vaddr, MemSize::Word)?;
+                    let v = self.read_mem::<FAST>(vaddr, MemSize::Word)?;
                     self.cpu.regs.fset_bits(sd, v);
                 } else {
                     let v = self.cpu.regs.fget_bits(sd);
-                    self.write_mem::<MODE>(vaddr, MemSize::Word, v)?;
+                    self.write_mem::<FAST>(vaddr, MemSize::Word, v)?;
                 }
                 Ok(Flow::Next)
             }
@@ -1971,18 +1354,17 @@ impl<D: Device> System<D> {
                     SysReg::SpUsr => self.cpu.regs.sp_usr(),
                     SysReg::CacheOp => 0,
                 };
-                self.reg_write::<MODE>(rd, v)?;
+                self.reg_write::<FAST>(rd, v)?;
                 Ok(Flow::Next)
             }
             Insn::Msr { sys, rn, .. } => {
                 self.cpu.counters.cycles += 1;
                 self.require_svc(0x4000)?;
-                let v = self.reg_read::<MODE>(rn)?;
+                let v = self.reg_read::<FAST>(rn)?;
                 match sys {
                     SysReg::Cpsr => {
                         self.cpu.cpsr = Cpsr::from_bits(v);
                         self.fastpath_clear_latches(); // possible mode change
-                        self.warp_flush();
                     }
                     SysReg::Spsr => self.cpu.spsr = v,
                     SysReg::Cycles => {} // read-only
@@ -1994,8 +1376,7 @@ impl<D: Device> System<D> {
                         self.itlb.flush();
                         self.dtlb.flush();
                         self.fastpath_clear_latches();
-                        self.warp_flush();
-                        if MODE == tier::REF {
+                        if !FAST {
                             if let Some(p) = self.prof.as_deref_mut() {
                                 p.itlb.flush_all();
                                 p.dtlb.flush_all();
@@ -2012,8 +1393,7 @@ impl<D: Device> System<D> {
                             self.itlb.flush();
                             self.dtlb.flush();
                             self.fastpath_clear_latches();
-                            self.warp_flush();
-                            if MODE == tier::REF {
+                            if !FAST {
                                 if let Some(p) = self.prof.as_deref_mut() {
                                     p.itlb.flush_all();
                                     p.dtlb.flush_all();
@@ -2035,7 +1415,6 @@ impl<D: Device> System<D> {
                 self.require_svc(0x5000)?;
                 self.cpu.cpsr = Cpsr::from_bits(self.cpu.spsr);
                 self.fastpath_clear_latches(); // mode change on return
-                self.warp_flush();
                 Ok(Flow::Jump(self.cpu.elr))
             }
             Insn::Nop { .. } => {
@@ -2103,7 +1482,6 @@ impl<D: Device + Snapshot> Snapshot for System<D> {
             probe: None,
             prof: None,
             fast: None,
-            warp: None,
         })
     }
 }
@@ -2228,7 +1606,7 @@ mod tests {
                             shift: kind,
                             amount: amount as u8,
                         });
-                        let got = sys.eval_op2::<{ tier::REF }>(op2).unwrap();
+                        let got = sys.eval_op2::<false>(op2).unwrap();
                         let want = shift_c_reference(kind, v, amount, c_in);
                         assert_eq!(got, want, "{kind:?} of {v:#010x} by {amount} (C={c_in})");
                     }
@@ -2247,7 +1625,7 @@ mod tests {
         sys.cpu.cpsr.c = false;
         let case = |sys: &mut System<NullDevice>, v: u32, shift, amount| {
             sys.cpu.regs.set(rm, mode, v);
-            sys.eval_op2::<{ tier::REF }>(Operand2::Reg(sea_isa::ShiftedReg { rm, shift, amount }))
+            sys.eval_op2::<false>(Operand2::Reg(sea_isa::ShiftedReg { rm, shift, amount }))
                 .unwrap()
         };
         // LSL #32: result 0, carry = old bit 0.

@@ -29,3 +29,27 @@ pub use raw_fit::{measure_fit_raw, RawFitResult};
 pub use session::{
     measure_kernel_residency, run_session, BeamError, BeamResult, StrikeOrigin, StrikeOutcome,
 };
+
+#[cfg(test)]
+mod tests {
+    use sea_injection::supervisor::lock;
+    use std::sync::Mutex;
+
+    /// Sessions run on the injection supervisor, whose shared queues and
+    /// journal stay usable after a holder panics.
+    #[test]
+    fn survives_poison() {
+        let m = Mutex::new(vec![1u64]);
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut held = lock(&m);
+                held.push(2);
+                panic!("poison the lock");
+            })
+            .join()
+        });
+        assert!(m.is_poisoned());
+        lock(&m).push(3);
+        assert_eq!(*lock(&m), [1, 2, 3]);
+    }
+}

@@ -26,7 +26,7 @@ use crate::worker::{canonicalize_spec, install_stop_signals};
 use sea_core::{FaultClass, StudySpec};
 use sea_injection::convergence::strata_json;
 use sea_injection::stats::Z_99;
-use sea_injection::supervisor::fnv1a;
+use sea_injection::supervisor::{fnv1a, lock};
 use sea_injection::{stop_requested, ConvergenceTracker, JournalFormat};
 use sea_microarch::{NullDevice, System};
 use sea_profile::PromWriter;
@@ -39,7 +39,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Scheduler poll interval (stall sweep, child reaping, completion check).
@@ -147,10 +147,6 @@ struct Shared {
     respawn_backoff_ms: AtomicU64,
     runs_done: AtomicU64,
     studies_done: AtomicU64,
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Total injection indices of one workload under a spec — the worker-side
